@@ -121,8 +121,8 @@ fn bench_filter(c: &mut Criterion) {
 }
 
 /// Filter reuse across exchanges: a converged fleet's steady round with the
-/// per-frontend filter cache (filters served from `(generation, instant)`)
-/// vs the same round with the cache defeated by a holdings mutation before
+/// per-frontend filter cache (filters reused while the shard tier's
+/// generation and alive-holdings count are unchanged) vs the same round with the cache defeated by a holdings mutation before
 /// every measurement — the per-exchange rebuild cost the cache removes.
 fn bench_filter_reuse(c: &mut Criterion) {
     let now = SimInstant::ZERO;

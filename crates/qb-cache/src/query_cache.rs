@@ -456,8 +456,10 @@ impl QueryCache {
     /// The shard tier's holdings generation: any insert, replacement,
     /// eviction, expiry or invalidation bumps it. Artifacts derived from
     /// the holdings — the gossip overlay's bloom-style holdings filter —
-    /// stay valid while `(generation, now)` is unchanged, so they can be
-    /// cached across exchanges instead of being rebuilt per partner.
+    /// can be cached across exchanges behind it. Only insertion sets an
+    /// entry's expiry, so at a fixed generation the entries alive at any
+    /// two instants are nested sets: a derived artifact stays valid while
+    /// the generation and the alive count are both unchanged.
     pub fn shard_generation(&self) -> u64 {
         self.shards.generation()
     }

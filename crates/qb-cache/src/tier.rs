@@ -16,6 +16,9 @@ struct Slot<V> {
     value: V,
     bytes: usize,
     version: u64,
+    /// Set only on insert: at a fixed generation the alive sets of any two
+    /// instants are then nested, which the gossip holdings-filter reuse
+    /// relies on.
     expires_at: SimInstant,
     stored_at: SimInstant,
     tick: u64,

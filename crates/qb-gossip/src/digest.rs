@@ -15,7 +15,7 @@
 //!   knowledge confirmed by the filter, so compression can delay a fill
 //!   (until anti-entropy) but never lose one.
 
-use crate::filter::ShardFilter;
+use crate::filter::{FilterKey, ShardFilter};
 use std::collections::{BTreeMap, HashMap};
 
 /// A digest of one frontend's (hot) cached shards: `(term, version)` pairs
@@ -93,8 +93,21 @@ pub fn apply_delta(view: &mut HashMap<String, u64>, delta: &[(String, u64)]) {
 /// cannot suppress forever). The filter alone never suppresses: with no
 /// advertised belief the fill is always sent.
 pub fn needs_fill(term: &str, version: u64, believed: Option<u64>, filter: &ShardFilter) -> bool {
+    needs_fill_with(term, version, believed, filter, FilterKey::derive)
+}
+
+/// [`needs_fill`] with the filter key supplied by `key_of` (a
+/// [`FilterKeyMemo`](crate::FilterKeyMemo) lookup on the gossip path). The
+/// key is only asked for when an advertised belief could suppress the fill.
+pub fn needs_fill_with(
+    term: &str,
+    version: u64,
+    believed: Option<u64>,
+    filter: &ShardFilter,
+    key_of: impl FnOnce(&str, u64) -> FilterKey,
+) -> bool {
     match believed {
-        Some(b) if b >= version => !filter.contains(term, b),
+        Some(b) if b >= version => !filter.contains_key(key_of(term, b)),
         _ => true,
     }
 }

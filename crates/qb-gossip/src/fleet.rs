@@ -46,8 +46,8 @@
 //! partitions and offline peers fail exchanges exactly like any other RPC.
 
 use crate::config::{DigestMode, GossipConfig};
-use crate::digest::{apply_delta, delta_entries, needs_fill, Digest, VersionVector};
-use crate::filter::ShardFilter;
+use crate::digest::{apply_delta, delta_entries, needs_fill_with, Digest, VersionVector};
+use crate::filter::{FilterKeyMemo, ShardFilter};
 use crate::membership::MembershipView;
 use crate::stats::GossipStats;
 use qb_cache::{CacheConfig, QueryCache, RemoteAdmit};
@@ -57,7 +57,7 @@ use qb_index::ShardEntry;
 use qb_segment::{fetch_segment, ImportReport, SegmentRef};
 use qb_simnet::SimNet;
 use qb_storage::StorageNetwork;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Wire overhead charged per shard in a fill batch (frame, version, TTL).
 const FILL_ENTRY_OVERHEAD: usize = 12;
@@ -151,10 +151,11 @@ pub struct Frontend {
     /// fetched on this frontend, queued to ride the next digest round as
     /// priority advertisements and priority fills.
     pending_adverts: Vec<(String, u64)>,
-    /// The holdings filter of the last delta exchange, cached behind the
-    /// shard tier's `(generation, instant)`: rounds where nothing changed
-    /// reuse it instead of rebuilding per exchange.
-    filter_cache: Option<(u64, SimInstant, ShardFilter)>,
+    /// The holdings filter of the last delta exchange and the shard-tier
+    /// generation it was built at: rounds where nothing changed reuse it
+    /// instead of rebuilding per exchange (see
+    /// [`Frontend::holdings_filter`]).
+    filter_cache: Option<(u64, ShardFilter)>,
     /// The newest published segment artifact this frontend knows of,
     /// adopted from publish notifications and digest piggybacks; joiners
     /// probe for it to bootstrap from the artifact instead of shard fills.
@@ -274,28 +275,30 @@ impl Frontend {
             .collect()
     }
 
-    /// The holdings filter for a delta exchange over `holdings` at `now`,
-    /// served from the per-frontend cache while the shard tier's
-    /// generation (and the instant, which decides TTL aliveness) are
-    /// unchanged — a steady round builds the filter once instead of once
-    /// per exchange.
+    /// The holdings filter for a delta exchange over `holdings`, the shard
+    /// tier's entries alive at the exchange's instant. The cached filter is
+    /// reused at any instant while the tier's generation and the alive
+    /// count are unchanged. At a fixed generation the resident entries and
+    /// their expiry instants are fixed, so the alive sets of any two
+    /// instants are nested: an equal count is an equal set, and the filter
+    /// (independent of insertion order) is bit-identical to a rebuild.
     fn holdings_filter(
         &mut self,
         holdings: &[(String, u64)],
         bits_per_entry: usize,
-        now: SimInstant,
+        keys: &mut FilterKeyMemo,
         stats: &mut GossipStats,
     ) -> ShardFilter {
         let generation = self.cache().shard_generation();
-        if let Some((cached_gen, cached_at, filter)) = &self.filter_cache {
-            if *cached_gen == generation && *cached_at == now {
+        if let Some((cached_gen, filter)) = &self.filter_cache {
+            if *cached_gen == generation && filter.len() == holdings.len() {
                 stats.filter_reuses += 1;
                 return filter.clone();
             }
         }
         stats.filter_builds += 1;
-        let filter = ShardFilter::build(holdings, bits_per_entry);
-        self.filter_cache = Some((generation, now, filter.clone()));
+        let filter = ShardFilter::build_with(holdings, bits_per_entry, |t, v| keys.key(t, v));
+        self.filter_cache = Some((generation, filter.clone()));
         filter
     }
 
@@ -319,6 +322,8 @@ pub struct GossipFleet {
     rng: DetRng,
     next_round_at: SimInstant,
     next_anti_entropy_at: SimInstant,
+    /// Filter keys shared by every frontend's filter builds and probes.
+    keys: FilterKeyMemo,
     stats: GossipStats,
 }
 
@@ -354,6 +359,7 @@ impl GossipFleet {
             frontends,
             index_by_peer,
             rng,
+            keys: FilterKeyMemo::new(),
             stats: GossipStats::default(),
         }
     }
@@ -669,20 +675,38 @@ impl GossipFleet {
     /// neighbour joins cold.
     fn bootstrap(&mut self, net: &mut SimNet, idx: usize, now: SimInstant) {
         for j in self.bootstrap_candidates(net, idx) {
-            let (a, b) = pair_mut(&mut self.frontends, idx, j);
-            if exchange(
-                &self.config,
-                a,
-                b,
-                net,
-                now,
-                ExchangeClass::Bootstrap,
-                self.config.bootstrap_fill_budget(),
-                &mut self.stats,
-            ) {
+            let budget = self.config.bootstrap_fill_budget();
+            if self.exchange_pair(net, idx, j, now, ExchangeClass::Bootstrap, budget) {
                 return;
             }
         }
+    }
+
+    /// Run one exchange between frontends `i` and `j` (see [`exchange`]),
+    /// then publish the key memo's derivation count into the stats.
+    fn exchange_pair(
+        &mut self,
+        net: &mut SimNet,
+        i: usize,
+        j: usize,
+        now: SimInstant,
+        class: ExchangeClass,
+        fill_budget: usize,
+    ) -> bool {
+        let (a, b) = pair_mut(&mut self.frontends, i, j);
+        let ok = exchange(
+            &self.config,
+            a,
+            b,
+            net,
+            now,
+            class,
+            fill_budget,
+            &mut self.keys,
+            &mut self.stats,
+        );
+        self.stats.filter_key_hashes = self.keys.derivations();
+        ok
     }
 
     /// The live candidate neighbours of frontend `idx`, same zone first,
@@ -816,17 +840,7 @@ impl GossipFleet {
                             .regular_fill_budget(zone == self.frontends[j].zone),
                     )
                 };
-                let (a, b) = pair_mut(&mut self.frontends, i, j);
-                exchange(
-                    &self.config,
-                    a,
-                    b,
-                    net,
-                    now,
-                    class,
-                    fill_budget,
-                    &mut self.stats,
-                );
+                self.exchange_pair(net, i, j, now, class, fill_budget);
             }
             // Evict members that stayed silent past the liveness timeout.
             let evicted = self.frontends[i]
@@ -861,14 +875,18 @@ impl GossipFleet {
         if f.departed {
             return;
         }
+        let mut queued: HashSet<&str> = f.pending_adverts.iter().map(|(t, _)| t.as_str()).collect();
+        let room = MAX_PENDING.saturating_sub(f.pending_adverts.len());
+        let mut added: Vec<(String, u64)> = Vec::new();
         for (term, version) in terms {
-            if f.pending_adverts.len() >= MAX_PENDING {
+            if added.len() >= room {
                 break;
             }
-            if !f.pending_adverts.iter().any(|(t, _)| t == term) {
-                f.pending_adverts.push((term.clone(), *version));
+            if queued.insert(term.as_str()) {
+                added.push((term.clone(), *version));
             }
         }
+        f.pending_adverts.extend(added);
     }
 
     /// The in-zone live member frontend `i`'s own sync state confirms
@@ -879,7 +897,8 @@ impl GossipFleet {
     /// best-covering peer (ties broken by fleet order, so the choice is
     /// deterministic), or `None` when nothing is missing or no in-zone
     /// candidate confirms coverage of even one missing shard.
-    fn zone_covering_partner(&self, net: &SimNet, i: usize) -> Option<u64> {
+    fn zone_covering_partner(&mut self, net: &SimNet, i: usize) -> Option<u64> {
+        let keys = &mut self.keys;
         let f = &self.frontends[i];
         let cache = f.cache.as_ref()?;
         let mut missing: Vec<(&str, u64)> = Vec::new();
@@ -909,13 +928,14 @@ impl GossipFleet {
                         || sync
                             .filter
                             .as_ref()
-                            .is_some_and(|flt| flt.contains(term, *version))
+                            .is_some_and(|flt| flt.contains_key(keys.key(term, *version)))
                 })
                 .count();
             if covered > 0 && best.is_none_or(|(c, _)| covered > c) {
                 best = Some((covered, cand.peer));
             }
         }
+        self.stats.filter_key_hashes = self.keys.derivations();
         best.map(|(_, peer)| peer)
     }
 
@@ -1023,17 +1043,8 @@ impl GossipFleet {
                     // Delta catch-up: one full exchange at the *flat*
                     // budget — the artifact carried the bulk; only what
                     // was published after it still moves as fills.
-                    let (a, b) = pair_mut(&mut self.frontends, idx, j);
-                    exchange(
-                        &self.config,
-                        a,
-                        b,
-                        net,
-                        now,
-                        ExchangeClass::Bootstrap,
-                        self.config.bootstrap_fill_budget(),
-                        &mut self.stats,
-                    );
+                    let budget = self.config.bootstrap_fill_budget();
+                    self.exchange_pair(net, idx, j, now, ExchangeClass::Bootstrap, budget);
                     return Ok((idx, report));
                 }
                 Err(_) => {
@@ -1088,6 +1099,7 @@ fn exchange(
     now: SimInstant,
     class: ExchangeClass,
     fill_budget: usize,
+    keys: &mut FilterKeyMemo,
     stats: &mut GossipStats,
 ) -> bool {
     let full = class.full();
@@ -1118,9 +1130,9 @@ fn exchange(
     // generation) before it is truncated to the advertised hot set.
     let (mut hot_a, mut hot_b) = (hot_of(a), hot_of(b));
     let (digest_a, filter_a) =
-        build_digest(config, a, b.peer, &mut hot_a, delta_mode, full, now, stats);
+        build_digest(config, a, b.peer, &mut hot_a, delta_mode, full, keys, stats);
     let (digest_b, filter_b) =
-        build_digest(config, b, a.peer, &mut hot_b, delta_mode, full, now, stats);
+        build_digest(config, b, a.peer, &mut hot_b, delta_mode, full, keys, stats);
     let memb_a = a.membership_summary(full, config.membership_summary_budget);
     let memb_b = b.membership_summary(full, config.membership_summary_budget);
     let filter_bytes = |f: &Option<ShardFilter>| f.as_ref().map_or(0, |f| f.wire_bytes());
@@ -1233,6 +1245,7 @@ fn exchange(
         &priority_a,
         &hot_a,
         filter_b.as_ref(),
+        keys,
         net,
         now,
         class,
@@ -1245,6 +1258,7 @@ fn exchange(
         &priority_b,
         &hot_b,
         filter_a.as_ref(),
+        keys,
         net,
         now,
         class,
@@ -1268,7 +1282,7 @@ fn build_digest(
     hot_own: &mut Vec<(String, u64)>,
     delta_mode: bool,
     full: bool,
-    now: SimInstant,
+    keys: &mut FilterKeyMemo,
     stats: &mut GossipStats,
 ) -> (Digest, Option<ShardFilter>) {
     // Advertise at the *cached* version via [`Frontend::resolved_adverts`]
@@ -1278,26 +1292,47 @@ fn build_digest(
     } else {
         Vec::new()
     };
-    if delta_mode {
-        let filter = own.holdings_filter(hot_own, config.filter_bits_per_entry, now, stats);
+    let (mut entries, filter) = if delta_mode {
+        let filter = own.holdings_filter(hot_own, config.filter_bits_per_entry, keys, stats);
         hot_own.truncate(config.hot_set_size);
-        let mut entries = delta_entries(hot_own, &own.sync_entry(partner_peer).advertised);
-        for (term, version) in pending {
-            if !entries.iter().any(|(t, v)| *t == term && *v >= version) {
-                entries.push((term, version));
-                stats.batch_adverts += 1;
-            }
-        }
-        (Digest::new(entries), Some(filter))
+        let entries = delta_entries(hot_own, &own.sync_entry(partner_peer).advertised);
+        (entries, Some(filter))
     } else {
-        let mut entries = hot_own.clone();
-        for (term, version) in pending {
-            if !entries.iter().any(|(t, v)| *t == term && *v >= version) {
-                entries.push((term, version));
-                stats.batch_adverts += 1;
-            }
+        (hot_own.clone(), None)
+    };
+    append_adverts(&mut entries, pending, stats);
+    (Digest::new(entries), filter)
+}
+
+/// Append the pending batch adverts to a digest's `entries`, in order,
+/// skipping each one the digest already advertises at an equal or newer
+/// version.
+fn append_adverts(
+    entries: &mut Vec<(String, u64)>,
+    pending: Vec<(String, u64)>,
+    stats: &mut GossipStats,
+) {
+    if pending.is_empty() {
+        return;
+    }
+    let mut newest: HashMap<&str, u64> = HashMap::with_capacity(entries.len() + pending.len());
+    for (term, version) in entries.iter() {
+        let slot = newest.entry(term.as_str()).or_insert(*version);
+        *slot = (*slot).max(*version);
+    }
+    let mut keep = Vec::with_capacity(pending.len());
+    for (term, version) in &pending {
+        let fresh = newest.get(term.as_str()).is_none_or(|v| v < version);
+        if fresh {
+            newest.insert(term.as_str(), *version);
         }
-        (Digest::new(entries), None)
+        keep.push(fresh);
+    }
+    for (advert, keep) in pending.into_iter().zip(keep) {
+        if keep {
+            entries.push(advert);
+            stats.batch_adverts += 1;
+        }
     }
 }
 
@@ -1315,6 +1350,7 @@ fn send_fills(
     priority: &[(String, u64)],
     hot: &[(String, u64)],
     to_filter: Option<&ShardFilter>,
+    keys: &mut FilterKeyMemo,
     net: &mut SimNet,
     now: SimInstant,
     class: ExchangeClass,
@@ -1323,31 +1359,40 @@ fn send_fills(
 ) {
     let mut fills: Vec<(ShardEntry, SimDuration)> = Vec::new();
     let mut batch_bytes = 0usize;
-    let mut offered: std::collections::HashSet<&str> = std::collections::HashSet::new();
+    // Hot-set terms are unique tier keys: only a priority advert can
+    // repeat a term, so without adverts there is nothing to dedup.
+    let mut offered: Option<HashSet<&str>> = (!priority.is_empty()).then(HashSet::new);
     let to_peer = to.peer;
+    let cache = from.cache.as_ref().expect("frontend cache checked out");
+    let believed_held = &from.sync.entry(to_peer).or_default().holdings;
     for (term, version) in priority.iter().chain(hot) {
         if fills.len() >= fill_budget {
             break;
         }
-        if !offered.insert(term.as_str()) {
+        if offered
+            .as_mut()
+            .is_some_and(|offered| !offered.insert(term.as_str()))
+        {
             continue;
         }
         if *version == 0 {
             continue;
         }
-        let believed = from.sync_entry(to_peer).holdings.get(term).copied();
+        let believed = believed_held.get(term).copied();
         let needed = match to_filter {
-            Some(filter) => needs_fill(term, *version, believed, filter),
+            Some(filter) => {
+                needs_fill_with(term, *version, believed, filter, |t, v| keys.key(t, v))
+            }
             None => believed.is_none_or(|b| b < *version),
         };
         if !needed {
             continue;
         }
-        let Some(shard) = from.cache().peek_shard(term) else {
+        let Some(shard) = cache.peek_shard(term) else {
             continue;
         };
         batch_bytes += shard.encoded_len() + FILL_ENTRY_OVERHEAD;
-        fills.push((shard.clone(), from.cache().adaptive_shard_ttl(term)));
+        fills.push((shard.clone(), cache.adaptive_shard_ttl(term)));
     }
     if fills.is_empty() {
         return;
@@ -1386,6 +1431,7 @@ fn send_fills(
         }
         ExchangeClass::Regular => {}
     }
+    let believed_held = &mut from.sync_entry(to_peer).holdings;
     for (shard, sender_ttl) in fills {
         stats.shards_pushed += 1;
         let known = to.known.get(&shard.term);
@@ -1405,11 +1451,7 @@ fn send_fills(
         // at least this version; remember it so the next rounds stop
         // re-pushing (a refused admission must be retried, so no record).
         if matches!(outcome, RemoteAdmit::Accepted | RemoteAdmit::Duplicate) {
-            let slot = from
-                .sync_entry(to_peer)
-                .holdings
-                .entry(shard.term.clone())
-                .or_insert(0);
+            let slot = believed_held.entry(shard.term.clone()).or_insert(0);
             *slot = (*slot).max(shard.version);
         }
     }
@@ -1820,27 +1862,95 @@ mod tests {
             fleet.cache_mut(0).store_shard(&s, now);
             fleet.observe(0, &s.term, 1);
         }
-        // Round 1 moves fills (caches mutate: filters rebuild). Run more
-        // rounds at the same instant once the fleet converged: holdings
-        // stop changing, so every frontend serves its cached filter.
+        // Round 1 moves fills (caches mutate: filters rebuild). Once the
+        // fleet converged, holdings stop changing: a round at a *later*
+        // instant serves every frontend's cached filter and probes only
+        // memoized keys.
         for _ in 0..3 {
             fleet.run_round(&mut net, now, false);
         }
         let converged = *fleet.stats();
         assert!(converged.filter_builds > 0);
-        fleet.run_round(&mut net, now, false);
+        assert!(converged.filter_key_hashes > 0);
+        let later = now + SimDuration::from_secs(5);
+        fleet.run_round(&mut net, later, false);
         let after = *fleet.stats();
+        assert_eq!(after.shards_pushed, converged.shards_pushed, "converged");
         let builds = after.filter_builds - converged.filter_builds;
         let reuses = after.filter_reuses - converged.filter_reuses;
         assert_eq!(builds, 0, "steady round must not rebuild any filter");
+        assert_eq!(
+            after.filter_key_hashes, converged.filter_key_hashes,
+            "steady round must not hash any filter key"
+        );
         assert!(
             reuses >= (after.exchanges - converged.exchanges) * 2,
             "both sides of every steady exchange reuse ({reuses})"
         );
         // A holdings change invalidates the cached filter.
-        fleet.cache_mut(0).store_shard(&shard("newterm", 1, 2), now);
-        fleet.run_round(&mut net, now, false);
+        fleet
+            .cache_mut(0)
+            .store_shard(&shard("newterm", 1, 2), later);
+        fleet.run_round(&mut net, later, false);
         assert!(fleet.stats().filter_builds > after.filter_builds);
+    }
+
+    #[test]
+    fn adverts_append_in_order_unless_already_advertised_as_new() {
+        let entry = |t: &str, v: u64| (t.to_string(), v);
+        let mut entries = vec![entry("a", 3), entry("b", 1)];
+        let pending = vec![
+            entry("a", 3), // advertised at the same version: skipped
+            entry("b", 2), // advertised older: rides
+            entry("c", 1),
+            entry("b", 2), // repeats an advert already appended: skipped
+        ];
+        let mut stats = GossipStats::default();
+        append_adverts(&mut entries, pending, &mut stats);
+        assert_eq!(
+            entries,
+            vec![entry("a", 3), entry("b", 1), entry("b", 2), entry("c", 1)]
+        );
+        assert_eq!(stats.batch_adverts, 2);
+    }
+
+    #[test]
+    fn an_expiry_crossing_rebuilds_the_filter_over_the_alive_set() {
+        let (mut fleet, _net) = fleet(2);
+        let now = SimInstant::ZERO;
+        for t in 0..6 {
+            fleet
+                .cache_mut(0)
+                .store_shard(&shard(&format!("term{t}"), 1, 3), now);
+        }
+        let short = shard("shortlived", 2, 2);
+        let ttl = SimDuration::from_secs(10);
+        fleet.cache_mut(0).store_remote_shard(&short, 2, ttl, now);
+        let (mut keys, mut stats) = (FilterKeyMemo::new(), GossipStats::default());
+        let f = &mut fleet.frontends[0];
+        let generation = f.cache().shard_generation();
+        let alive_at = |f: &Frontend, at: SimInstant| f.cache().shard_digest(usize::MAX, at);
+
+        let early = alive_at(f, now);
+        assert_eq!(early.len(), 7);
+        let first = f.holdings_filter(&early, 8, &mut keys, &mut stats);
+        // Later, before the expiry: the same alive set, the cached filter.
+        let before_expiry = alive_at(f, now + SimDuration::from_secs(5));
+        let reused = f.holdings_filter(&before_expiry, 8, &mut keys, &mut stats);
+        assert_eq!((stats.filter_builds, stats.filter_reuses), (1, 1));
+        assert_eq!(reused, first);
+
+        // Past the short TTL at the same generation: one entry fewer is
+        // alive, so the filter is rebuilt over exactly the alive set.
+        let alive = alive_at(f, now + SimDuration::from_secs(20));
+        assert_eq!(alive.len(), 6);
+        assert_eq!(f.cache().shard_generation(), generation);
+        let rebuilt = f.holdings_filter(&alive, 8, &mut keys, &mut stats);
+        assert_eq!(stats.filter_builds, 2);
+        assert_eq!(rebuilt, ShardFilter::build(&alive, 8));
+        assert_ne!(rebuilt, first);
+        // The six surviving keys were memoized by the first build.
+        assert_eq!(keys.derivations(), 7);
     }
 
     #[test]

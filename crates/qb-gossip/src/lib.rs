@@ -67,8 +67,8 @@ pub mod membership;
 pub mod stats;
 
 pub use config::{DigestMode, GossipConfig};
-pub use digest::{apply_delta, delta_entries, needs_fill, Digest, VersionVector};
-pub use filter::ShardFilter;
+pub use digest::{apply_delta, delta_entries, needs_fill, needs_fill_with, Digest, VersionVector};
+pub use filter::{FilterKey, FilterKeyMemo, ShardFilter};
 pub use fleet::{Frontend, GossipFleet, SegmentBootstrapReport};
 pub use membership::{MemberInfo, MembershipSummary, MembershipView};
 pub use stats::GossipStats;

@@ -77,8 +77,13 @@ pub struct GossipStats {
     /// Holdings filters actually built for delta-digest exchanges.
     pub filter_builds: u64,
     /// Holdings filters served from the per-frontend cache (unchanged
-    /// shard-tier generation at the same instant) instead of being rebuilt.
+    /// shard-tier generation and alive-holdings count, at any instant)
+    /// instead of being rebuilt.
     pub filter_reuses: u64,
+    /// SHA-256 filter-key derivations: misses of the fleet's filter-key
+    /// memo, by holdings-filter builds and filter probes alike. A steady
+    /// round over unchanged holdings performs none.
+    pub filter_key_hashes: u64,
 }
 
 impl GossipStats {
@@ -132,6 +137,7 @@ impl qb_trace::MetricsSource for GossipStats {
         out.add_counter("gossip.batch_adverts", self.batch_adverts);
         out.add_counter("gossip.filter_builds", self.filter_builds);
         out.add_counter("gossip.filter_reuses", self.filter_reuses);
+        out.add_counter("gossip.filter_key_hashes", self.filter_key_hashes);
     }
 }
 
